@@ -82,9 +82,10 @@ func (sg Generator) Generate(g *aig.Graph, care *sim.Vectors, valid int) []core.
 			cand{s: aig.LitFalse, diff: diffCount(v, aig.LitFalse)},
 			cand{s: aig.LitTrue, diff: diffCount(v, aig.LitTrue)},
 		)
-		// Signal candidates: any node with a smaller id (PIs included).
+		// Signal candidates: any live node with a smaller id (PIs included).
+		// Slots freed by in-place commits are dead and carry no signal.
 		for s := aig.Node(1); s < v; s++ {
-			if g.Kind(s) == aig.KindConst {
+			if k := g.Kind(s); k == aig.KindConst || k == aig.KindDead {
 				continue
 			}
 			d := diffCount(v, aig.MakeLit(s, false))
@@ -113,10 +114,26 @@ func (sg Generator) Generate(g *aig.Graph, care *sim.Vectors, valid int) []core.
 				Apply: func(g *aig.Graph) *aig.Graph {
 					return g.CopyWith(map[aig.Node]aig.Lit{node: sub})
 				},
+				ApplyInPlace: func(g *aig.Graph, touched *[]aig.Node) {
+					g.ReplaceNode(node, sub, touched)
+				},
 			})
 		}
 	}
 	return out
+}
+
+// GenerateWorkers implements core.WorkerGenerator. The scan is sequential,
+// so every worker count gives the same candidates.
+func (sg Generator) GenerateWorkers(g *aig.Graph, care *sim.Vectors, valid, workers int) []core.Candidate {
+	return sg.Generate(g, care, valid)
+}
+
+// GenerateIncremental implements core.IncrementalGenerator without reuse:
+// every call is a full rescan, and the cache is nil.
+func (sg Generator) GenerateIncremental(g *aig.Graph, care *sim.Vectors, valid, workers int,
+	stale []bool, cache any) ([]core.Candidate, any) {
+	return sg.Generate(g, care, valid), nil
 }
 
 // Configure rewires ALSRAC flow options to run Su's method: the SASIMI

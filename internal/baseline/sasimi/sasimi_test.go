@@ -1,6 +1,7 @@
 package sasimi
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/aig"
@@ -45,25 +46,106 @@ func TestGeneratorProposesCandidates(t *testing.T) {
 	}
 }
 
-func TestCandidateVectorsMatchApply(t *testing.T) {
-	// For each candidate, the predicted new vector must equal the node's
-	// vector when simulating the substituted circuit... the substitute is an
-	// existing signal, so NewVec must be exactly that signal's vector.
-	g := rippleAdder(3)
-	p := sim.Exhaustive(g.NumPIs())
+// forcedPOs simulates g on p with node v's vector forced to nv: the output
+// words the circuit produces once v is replaced by a signal whose value is
+// nv, which is what the flow's error estimate assumes for a candidate.
+func forcedPOs(g *aig.Graph, p *sim.Patterns, v aig.Node, nv []uint64) [][]uint64 {
 	vecs := sim.Simulate(g, p)
-	cands := DefaultGenerator().Generate(g, vecs, p.Valid)
+	copy(vecs.Node(v), nv)
+	a := make([]uint64, vecs.Words)
+	b := make([]uint64, vecs.Words)
+	for n := v + 1; int(n) < g.NumNodes(); n++ {
+		if !g.IsAnd(n) {
+			continue
+		}
+		vecs.LitInto(g.Fanin0(n), a)
+		vecs.LitInto(g.Fanin1(n), b)
+		out := vecs.Node(n)
+		for w := range out {
+			out[w] = a[w] & b[w]
+		}
+	}
+	return poWords(g, vecs)
+}
+
+func poWords(g *aig.Graph, vecs *sim.Vectors) [][]uint64 {
+	out := make([][]uint64, g.NumPOs())
+	for i := range out {
+		out[i] = make([]uint64, vecs.Words)
+		vecs.LitInto(g.PO(i), out[i])
+	}
+	return out
+}
+
+// checkCandidates asserts that every candidate's NewVec predicts the
+// circuit its Apply and ApplyInPlace build, on the exhaustive patterns p.
+func checkCandidates(t *testing.T, g *aig.Graph, p *sim.Patterns, vecs *sim.Vectors, cands []core.Candidate) {
+	t.Helper()
 	buf := make([]uint64, vecs.Words)
 	for _, c := range cands {
 		c.NewVec(vecs, buf)
+		want := forcedPOs(g, p, c.Node, buf)
 		ng := c.Apply(g.Clone())
 		if ng.NumPIs() != g.NumPIs() || ng.NumPOs() != g.NumPOs() {
 			t.Fatalf("apply changed the interface")
 		}
-		if err := ng.Check(); err != nil {
+		if err := ng.CheckStrict(); err != nil {
 			t.Fatal(err)
 		}
+		if got := poWords(ng, sim.Simulate(ng, p)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("node %d: Apply builds a different function than NewVec predicts", c.Node)
+		}
+		ip := g.Clone()
+		c.ApplyInPlace(ip, nil)
+		if err := ip.Check(); err != nil {
+			t.Fatal(err)
+		}
+		if got := poWords(ip, sim.Simulate(ip, p)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("node %d: ApplyInPlace builds a different function than Apply", c.Node)
+		}
 	}
+}
+
+func TestCandidateVectorsMatchApply(t *testing.T) {
+	// For each candidate, the predicted new vector must describe the
+	// substituted circuit: the substitute is an existing signal, so NewVec
+	// is that signal's vector, and both Apply and ApplyInPlace must build
+	// the circuit with the node replaced by it.
+	g := rippleAdder(3)
+	p := sim.Exhaustive(g.NumPIs())
+	vecs := sim.Simulate(g, p)
+	cands := DefaultGenerator().Generate(g, vecs, p.Valid)
+	checkCandidates(t, g, p, vecs, cands)
+}
+
+// TestGenerateSkipsDeadSlots: an in-place commit leaves dead slots whose
+// arena vectors still hold their old values. A dead slot is not a signal,
+// so no candidate may substitute it.
+func TestGenerateSkipsDeadSlots(t *testing.T) {
+	g := rippleAdder(4)
+	p := sim.Exhaustive(g.NumPIs())
+	arena := sim.NewArena(g, p, 1)
+	defer arena.Release()
+	// The carry out of bit 1 feeds every later bit; replacing it by a
+	// constant frees its cone and rebuilds the later bits in place.
+	v := g.Fanin0(g.Fanin0(g.PO(2).Node()).Node()).Node()
+	for !g.IsAnd(v) {
+		v++
+	}
+	g.ReplaceNode(v, aig.LitFalse, nil)
+	arena.Update()
+	dead := false
+	for n := aig.Node(1); int(n) < g.NumNodes()-1; n++ {
+		dead = dead || g.Kind(n) == aig.KindDead
+	}
+	if !dead {
+		t.Fatal("setup left no dead slot below the last node")
+	}
+	cands := DefaultGenerator().Generate(g, arena.Vectors(), p.Valid)
+	if len(cands) == 0 {
+		t.Fatal("no candidates")
+	}
+	checkCandidates(t, g, p, arena.Vectors(), cands)
 }
 
 func TestSasimiFlowRespectsThreshold(t *testing.T) {

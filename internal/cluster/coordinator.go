@@ -632,10 +632,11 @@ func (co *Coordinator) UploadCheckpoint(jobID, workerID, attemptID string, paylo
 	return nil
 }
 
-// UploadResult finishes an attempt: first finisher wins, the job goes Done,
-// the result lands in the CAS under the job's key, and every other attempt's
-// lease dies (its worker sees 409 at the next renew — the cross-machine ctx
-// cancellation). Losing attempts get ErrLeaseLost.
+// UploadResult finishes an attempt: first finisher wins, every other
+// attempt's lease dies (its worker sees 409 at the next renew — the
+// cross-machine ctx cancellation), the result lands in the CAS under the
+// job's key, and only then does the job go Done, so a client that sees Done
+// and resubmits hits the cache. Losing attempts get ErrLeaseLost.
 func (co *Coordinator) UploadResult(jobID, workerID, attemptID string, sum ResultSummary, aag []byte) error {
 	// Validate before taking the winner slot: an unparsable body must not
 	// mark the job done.
@@ -664,11 +665,10 @@ func (co *Coordinator) UploadResult(jobID, workerID, attemptID string, sum Resul
 	if a.hedge {
 		co.met.hedgeWins.Inc()
 	}
-	j.active = nil // losers' leases die with the job
-	j.sum = sum
-	j.resultAAG = aag
-	j.errMsg = ""
-	co.transitionLocked(j, service.StateDone)
+	// Take the winner slot: losers' leases die here. With no active attempt
+	// the job is neither swept back to the queue nor hedged while its result
+	// is written outside the lock.
+	j.active = nil
 	key := j.key
 	co.mu.Unlock()
 
@@ -676,8 +676,15 @@ func (co *Coordinator) UploadResult(jobID, workerID, attemptID string, sum Resul
 		co.logf("cluster: job %s: persisting result: %v", jobID, err)
 	}
 	co.mu.Lock()
+	defer co.mu.Unlock()
+	if j.state.Terminal() {
+		return nil // cancelled while the result was written
+	}
+	j.sum = sum
+	j.resultAAG = aag
+	j.errMsg = ""
+	co.transitionLocked(j, service.StateDone)
 	_ = co.persistState(j)
-	co.mu.Unlock()
 	co.logf("cluster: job %s done by %s (%s%d iterations, error %.6g)",
 		jobID, workerID, map[bool]string{true: "hedge, ", false: ""}[a.hedge], sum.Iterations, sum.FinalError)
 	return nil

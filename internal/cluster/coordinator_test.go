@@ -3,9 +3,12 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/faultfs"
 	"repro/internal/service"
 )
 
@@ -423,5 +426,73 @@ func TestResultCorruptionAfterDoneTriggersRecompute(t *testing.T) {
 	c2, ok, err := co.Claim(w.WorkerID)
 	if err != nil || !ok || c2.JobID != st.ID {
 		t.Fatalf("recompute claim = (%+v, %t, %v)", c2, ok, err)
+	}
+}
+
+// resultGateFS blocks the rename that publishes a CAS result until release
+// is closed, signalling entered when it starts waiting.
+type resultGateFS struct {
+	faultfs.FS
+	entered chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (f *resultGateFS) Rename(oldpath, newpath string) error {
+	if filepath.Base(newpath) == resultName {
+		f.once.Do(func() { close(f.entered) })
+		<-f.release
+	}
+	return f.FS.Rename(oldpath, newpath)
+}
+
+// TestUploadResultPersistsBeforeDone: a job must not read Done before its
+// result is in the CAS. Otherwise a client that sees Done and resubmits the
+// same work misses the cache and queues a recompute.
+func TestUploadResultPersistsBeforeDone(t *testing.T) {
+	clk := newFakeClock()
+	fs := &resultGateFS{FS: faultfs.OS{}, entered: make(chan struct{}), release: make(chan struct{})}
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(fs.release) }) }
+	defer release()
+	co := newTestCoord(t, clk, func(c *CoordConfig) { c.FS = fs })
+	circuit := testCircuit(t)
+
+	st, err := co.Submit(testSpec(), circuit)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	w := co.Register("w1")
+	claim, ok, err := co.Claim(w.WorkerID)
+	if err != nil || !ok {
+		t.Fatalf("Claim = (%v, %t)", err, ok)
+	}
+	uploaded := make(chan error, 1)
+	go func() {
+		uploaded <- co.UploadResult(claim.JobID, w.WorkerID, claim.AttemptID,
+			ResultSummary{Iterations: 17, Applied: 9, Ands: 100, FinalError: 0.042, Reason: "threshold"}, circuit)
+	}()
+	<-fs.entered
+
+	mid, err := co.Status(st.ID)
+	if err != nil {
+		t.Fatalf("Status: %v", err)
+	}
+	if mid.State == service.StateDone {
+		t.Fatalf("job reads Done while its result is still being written: %+v", mid)
+	}
+	release()
+	if err := <-uploaded; err != nil {
+		t.Fatalf("UploadResult: %v", err)
+	}
+	if fin, _ := co.Status(st.ID); fin.State != service.StateDone {
+		t.Fatalf("after the upload: %+v, want done", fin)
+	}
+	dup, err := co.Submit(testSpec(), circuit)
+	if err != nil {
+		t.Fatalf("duplicate Submit: %v", err)
+	}
+	if !dup.CacheHit || dup.State != service.StateDone {
+		t.Fatalf("duplicate = %+v, want instant cache hit", dup)
 	}
 }

@@ -11,10 +11,11 @@ import (
 	"repro/internal/sim"
 )
 
-// BenchmarkRankCandidates measures one candidate-ranking pass — the flow's
-// dominant cost — including the per-iteration batch setup. With pooled
-// buffers the steady-state allocation count per op should stay near zero
-// (only the candidate grouping and goroutine bookkeeping remain).
+// BenchmarkRankCandidates measures one candidate-ranking pass including a
+// full simulation of the base vectors, which the session's eval arena
+// replaces by an incremental update. With pooled buffers the steady-state
+// allocation count per op should stay near zero (only the candidate
+// grouping and goroutine bookkeeping remain).
 func BenchmarkRankCandidates(b *testing.B) {
 	g := rippleAdder(32)
 	evalPats := sim.Uniform(g.NumPIs(), 64, 1) // 4096 patterns
@@ -37,7 +38,9 @@ func BenchmarkRankCandidates(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = rankCandidates(context.Background(), ev, g, evalPats, nil, cands, workers)
+				base := sim.SimulateWorkers(g, evalPats, workers)
+				_ = rankCandidates(context.Background(), ev, g, base, cands, workers)
+				base.Release()
 			}
 			b.ReportMetric(float64(len(cands)), "candidates")
 		})
@@ -54,20 +57,13 @@ func BenchmarkSessionStep(b *testing.B) {
 	opts.EvalPatterns = 4096
 	opts.Workers = 1
 
-	newSession := func() *Session {
-		s := NewSession(g, opts)
-		if !s.inc {
-			b.Fatal("session did not take the incremental path")
-		}
-		return s
-	}
-	s := newSession()
+	s := NewSession(g, opts)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if s.Done() {
 			b.StopTimer()
-			s = newSession()
+			s = NewSession(g, opts)
 			b.StartTimer()
 		}
 		if _, err := s.Step(context.Background()); err != nil {

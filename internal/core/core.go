@@ -8,9 +8,9 @@
 // iterations without candidates it is scaled by r < 1, enlarging the
 // approximation space.
 //
-// The LAC generator is pluggable (see Generator); ALSRAC's approximate
-// resubstitution is the default, and the SASIMI-style generator of package
-// baseline/sasimi reuses the same loop, mirroring how the paper
+// The LAC generator is pluggable (see IncrementalGenerator); ALSRAC's
+// approximate resubstitution is the default, and the SASIMI-style generator
+// of package baseline/sasimi reuses the same loop, mirroring how the paper
 // reimplements Su's method inside a common framework.
 package core
 
@@ -39,14 +39,15 @@ type Candidate struct {
 	// NewVec writes the node's replacement value vector, evaluated on the
 	// given simulation vectors of the current circuit, into out.
 	NewVec func(vecs *sim.Vectors, out []uint64)
-	// Apply substitutes the change into g and returns the new circuit.
+	// Apply substitutes the change into g and returns the new circuit. The
+	// session uses it only for pre-commit checks (depth cap, certification)
+	// on a throwaway clone of the working graph.
 	Apply func(g *aig.Graph) *aig.Graph
-	// ApplyInPlace, when non-nil, commits the change into g itself —
-	// rewiring references with aig.ReplaceNode so untouched logic keeps its
-	// node ids and freed slots are recycled — and appends every node whose
-	// structure or reference count changed to *touched. The incremental
-	// session path requires it; generators that only produce Apply fall
-	// back to the copying path.
+	// ApplyInPlace commits the change into g itself — rewiring references
+	// with aig.ReplaceNode so untouched logic keeps its node ids and freed
+	// slots are recycled — and appends every node whose structure or
+	// reference count changed to *touched. It is required: every session
+	// commits through it, and it must give the circuit Apply gives.
 	ApplyInPlace func(g *aig.Graph, touched *[]aig.Node)
 	// Err is filled by the flow: the estimated circuit error (against the
 	// original circuit) after applying this candidate.
@@ -56,31 +57,30 @@ type Candidate struct {
 // Generator proposes candidate LACs for the current circuit, given its
 // value vectors on the care-set patterns (of which the first valid entries
 // are meaningful). Candidates must not retain the care vectors: the flow
-// releases them to the buffer pool once generation finishes, and NewVec is
-// always handed the vectors it should read.
+// updates them in place after a commit, and NewVec is always handed the
+// vectors it should read.
 type Generator interface {
 	Generate(g *aig.Graph, care *sim.Vectors, valid int) []Candidate
 }
 
-// WorkerGenerator is optionally implemented by Generators whose candidate
-// scan shards across worker goroutines. Implementations must produce the
-// same candidates in the same order for every worker count — the flow's
-// determinism guarantee depends on it.
+// WorkerGenerator is a Generator whose candidate scan shards across worker
+// goroutines. Implementations must produce the same candidates in the same
+// order for every worker count — the flow's determinism guarantee depends
+// on it.
 type WorkerGenerator interface {
 	Generator
 	GenerateWorkers(g *aig.Graph, care *sim.Vectors, valid int, workers int) []Candidate
 }
 
-// IncrementalGenerator is optionally implemented by WorkerGenerators that
-// can reuse candidate state across flow iterations when told which nodes
-// the last committed change invalidated. It is what enables the session's
-// incremental hot path: candidates from such a generator must also carry
-// ApplyInPlace.
+// IncrementalGenerator is the generator a session runs (Options.Generator):
+// a WorkerGenerator that can reuse candidate state across flow iterations
+// when told which nodes the last committed change invalidated.
 //
 // stale and cache come from the previous call on the same graph and
 // patterns: stale[v] true means node v's candidates must be recomputed,
 // and cache is the opaque value the previous call returned. A nil stale
-// mask requests a full scan (cache is ignored). The result must be bitwise
+// mask requests a full scan (cache is ignored). A generator without reuse
+// rescans every call and returns a nil cache. The result must be bitwise
 // identical to a full GenerateWorkers scan for every (stale, cache)
 // handed back this way — worker-count invariance and the correctness of
 // checkpoint restore (which drops the cache and rescans) both rest on it.
@@ -202,10 +202,12 @@ type Options struct {
 	// MaxStall bounds consecutive iterations without an applied change
 	// before giving up (termination guard; the paper relies on N shrinking).
 	MaxStall int
-	// MaxDepthRatio, when positive, rejects changes that would leave the
-	// (re-optimized) circuit deeper than this ratio times the original
-	// depth — a delay-constrained mode in the spirit of the paper's
-	// "map -D <original delay>" mapping setup. 0 disables the check.
+	// MaxDepthRatio, when positive, caps circuit depth at this ratio times
+	// the original depth — a delay-constrained mode in the spirit of the
+	// paper's "map -D <original delay>" mapping setup. A change that would
+	// leave the committed graph deeper than the cap is rejected, and a
+	// re-optimization that would exceed it is dropped, so the working graph
+	// and every optimized best snapshot respect the cap. 0 disables it.
 	MaxDepthRatio float64
 	// SkipOptimize disables the traditional re-optimization between
 	// iterations (ablation knob; the paper always optimizes).
@@ -231,8 +233,9 @@ type Options struct {
 	WindowSkipFanoutRoots    int
 	WindowSkipFanoutDivisors int
 	// Generator overrides the LAC generator; nil means ALSRAC resubstitution
-	// (windowed when Windowed is set).
-	Generator Generator
+	// (windowed when Windowed is set). Its candidates must carry both Apply
+	// and ApplyInPlace.
+	Generator IncrementalGenerator
 
 	// MaxError, when positive, switches the flow to certified mode: every
 	// winning candidate is certified by the exact checker (internal/exact)
@@ -290,7 +293,7 @@ const windowedFallbackAnds = 200
 // flowGenerator picks the default LAC generator for a session over a
 // circuit with numAnds live AND nodes (only consulted when opts.Generator
 // is nil). It reports whether the windowed fallback was taken.
-func flowGenerator(opts *Options, numAnds int) (Generator, bool) {
+func flowGenerator(opts *Options, numAnds int) (IncrementalGenerator, bool) {
 	rcfg := resub.Config{
 		MaxLACsPerNode:  opts.MaxLACsPerNode,
 		MaxReplaceTries: opts.MaxReplaceTries,
@@ -374,10 +377,10 @@ func RunCtx(ctx context.Context, g *aig.Graph, opts Options) Result {
 // or nil when there are no candidates. Candidates are grouped by node so
 // each node's fanout cone is re-simulated once (the batch estimation
 // trick); with workers > 1 the node groups are partitioned across worker
-// goroutines, each owning a Fork of the batch estimator. baseVecs, when
-// non-nil, is a caller-owned up-to-date simulation of cur on the
-// evaluation patterns (the incremental session's persistent arena), which
-// skips the full-circuit resimulation the batch setup otherwise performs.
+// goroutines, each owning a Fork of the batch estimator. baseVecs is a
+// caller-owned up-to-date simulation of cur on the evaluation patterns (the
+// session's persistent eval arena), so ranking resimulates only the fanout
+// cone of each candidate node.
 //
 // Evaluation is branch-and-bound: the smallest exact error seen by ANY
 // worker so far — published through an atomic — bounds every later
@@ -395,17 +398,12 @@ func RunCtx(ctx context.Context, g *aig.Graph, opts Options) Result {
 // Cancelling ctx stops the scan at the next group boundary; the caller
 // (Session.Step) detects ctx.Err and discards the partial ranking, so a
 // cancelled iteration commits nothing.
-func rankCandidates(ctx context.Context, ev *errest.Evaluator, cur *aig.Graph, evalPats *sim.Patterns, baseVecs *sim.Vectors, cands []Candidate, workers int) *Candidate {
+func rankCandidates(ctx context.Context, ev *errest.Evaluator, cur *aig.Graph, baseVecs *sim.Vectors, cands []Candidate, workers int) *Candidate {
 	if len(cands) == 0 {
 		return nil
 	}
 	slices.SortStableFunc(cands, func(a, b Candidate) int { return int(a.Node) - int(b.Node) })
-	var batch *errest.Batch
-	if baseVecs != nil {
-		batch = errest.NewBatchVecs(ev, cur, baseVecs)
-	} else {
-		batch = errest.NewBatchWorkers(ev, cur, evalPats, workers)
-	}
+	batch := errest.NewBatchVecs(ev, cur, baseVecs)
 	defer batch.Release()
 
 	// Group boundaries: candidates sharing a node form one work unit.

@@ -200,9 +200,21 @@ func (constZeroGen) Generate(g *aig.Graph, care *sim.Vectors, valid int) []Candi
 			Apply: func(g *aig.Graph) *aig.Graph {
 				return g.CopyWith(map[aig.Node]aig.Lit{node: aig.LitFalse})
 			},
+			ApplyInPlace: func(g *aig.Graph, touched *[]aig.Node) {
+				g.ReplaceNode(node, aig.LitFalse, touched)
+			},
 		})
 	}
 	return out
+}
+
+func (z constZeroGen) GenerateWorkers(g *aig.Graph, care *sim.Vectors, valid, workers int) []Candidate {
+	return z.Generate(g, care, valid)
+}
+
+func (z constZeroGen) GenerateIncremental(g *aig.Graph, care *sim.Vectors, valid, workers int,
+	stale []bool, cache any) ([]Candidate, any) {
+	return z.Generate(g, care, valid), nil
 }
 
 func TestRunWithCustomPatternDistribution(t *testing.T) {

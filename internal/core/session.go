@@ -22,13 +22,13 @@ const (
 	EventNoCandidates EventKind = "no-candidates"
 	// EventDepthReject: the best candidate was dropped by the delay
 	// constraint (Options.MaxDepthRatio); the flow retries with fresh
-	// patterns next step.
+	// patterns next step, stall-guarded.
 	EventDepthReject EventKind = "depth-reject"
 	// EventThreshold: even the best candidate violates the error threshold
 	// (Algorithm 3, line 7). The session is finished after this step (Done
-	// set) when the candidates came from a freshly drawn care set; on the
-	// incremental path a persisted care set gets one fresh draw first — the
-	// event is then non-final and the next step retries, stall-guarded.
+	// set) when the candidates came from a freshly drawn care set; a
+	// persisted care set gets one fresh draw first — the event is then
+	// non-final and the next step retries, stall-guarded.
 	EventThreshold EventKind = "threshold"
 	// EventDone: the session had already finished; no work was performed.
 	EventDone EventKind = "done"
@@ -99,22 +99,19 @@ type Session struct {
 	stall    int // consecutive iterations without an applied LAC
 	curErr   float64
 
-	// Incremental hot path (inc is true when the generator implements
-	// IncrementalGenerator and no depth cap is in effect). The working
-	// graph is mutated in place with ReplaceNode, and two persistent
-	// simulation arenas — care patterns and evaluation patterns — are kept
-	// up to date by resimulating only the dirty TFO slice of each commit.
-	// careSeed/careN identify the live care patterns (they persist across
-	// pure-win commits and reroll after an empty round, a non-shrinking
-	// commit, or an optimizer flush); careOK is false when the next step
-	// must reroll. The arenas themselves are rebuilt
-	// lazily from that identity — after NewSession and after Restore —
-	// which is sound because a full simulation is bitwise identical to the
-	// incrementally maintained state. genStale/genCache are the candidate
+	// Incremental state. The working graph is mutated in place with
+	// ReplaceNode, and two persistent simulation arenas — care patterns and
+	// evaluation patterns — are kept up to date by resimulating only the
+	// dirty TFO slice of each commit. careSeed/careN identify the live care
+	// patterns (they persist across pure-win commits and reroll after an
+	// empty round, a non-shrinking commit, a rejection, or an optimizer
+	// flush); careOK is false when the next step must reroll. The arenas
+	// themselves are rebuilt lazily from that identity — after NewSession
+	// and after Restore — which is sound because a full simulation is
+	// bitwise identical to the incrementally maintained state. genStale/genCache are the candidate
 	// invalidation mask and the generator's opaque cache; both are
 	// droppable for the same reason (a full rescan reproduces the cached
 	// merge exactly), which keeps checkpoints free of derived state.
-	inc       bool
 	careArena *sim.Arena
 	evalArena *sim.Arena
 	careSeed  int64
@@ -143,16 +140,16 @@ type Session struct {
 	finalOK  bool
 }
 
-// optEvery is the re-optimization cadence of the incremental path: the
-// traditional synthesis pass (Algorithm 3, line 9) runs after this many
-// committed LACs instead of after every one. Optimization rebuilds the
-// graph with fresh node ids, which forces both arenas to resimulate from
-// scratch and drops the generator cache, so batching it is what lets the
-// incremental machinery amortize. The best snapshot is updated only at
+// optEvery is the re-optimization cadence of the flow: the traditional
+// synthesis pass (Algorithm 3, line 9) runs after this many committed LACs
+// of a winning streak instead of after every one. Optimization rebuilds
+// the graph with fresh node ids, which forces both arenas to resimulate
+// from scratch and drops the generator cache, so batching it is what lets
+// the incremental machinery amortize. The best snapshot is updated only at
 // these optimize boundaries (and at the final flush when the session
 // finishes mid-batch), so the reported result is always fully optimized —
 // zero-gain LACs whose payoff only materializes under the optimizer are
-// credited exactly as on the legacy path, just in batches.
+// credited too, just in batches.
 const optEvery = 8
 
 // NewSession prepares a Session over circuit g. g itself is never modified;
@@ -198,8 +195,6 @@ func NewSession(g *aig.Graph, opts Options) *Session {
 		s.depthCap = int(opts.MaxDepthRatio * float64(s.cur.Depth()))
 	}
 	s.n = opts.InitialRounds
-	_, incOK := s.opts.Generator.(IncrementalGenerator)
-	s.inc = incOK && opts.MaxDepthRatio <= 0
 	if opts.MaxError > 0 {
 		chk, err := exact.New(g, exact.Config{
 			SATConflictBudget: opts.CertConflictBudget,
@@ -241,27 +236,14 @@ func (s *Session) Step(ctx context.Context) (Event, error) {
 	iter := s.iterations + 1
 	iterSeed := s.opts.Seed + int64(iter)*7919
 
-	var cands []Candidate
-	careFresh := true
-	if s.inc {
-		cands, careFresh = s.generateIncremental(iterSeed)
-	} else {
-		care := s.opts.Patterns(s.cur.NumPIs(), s.n, iterSeed)
-		vecs := sim.SimulateWorkers(s.cur, care, s.workers)
-		if wg, ok := s.opts.Generator.(WorkerGenerator); ok {
-			cands = wg.GenerateWorkers(s.cur, vecs, care.Valid, s.workers)
-		} else {
-			cands = s.opts.Generator.Generate(s.cur, vecs, care.Valid)
-		}
-		vecs.Release()
-	}
+	cands, careFresh := s.generateIncremental(iterSeed)
 
 	if len(cands) == 0 {
 		s.iterations = iter
 		s.streak++
 		s.stall++
 		// The same patterns would regenerate the same emptiness: draw fresh
-		// ones next step (no-op for the legacy path, which rerolls anyway).
+		// ones next step.
 		s.careOK = false
 		ev := Event{Kind: EventNoCandidates, Iteration: iter, Err: s.curErr, Ands: s.cur.NumAnds()}
 		if s.streak >= s.opts.Patience {
@@ -278,11 +260,7 @@ func (s *Session) Step(ctx context.Context) (Event, error) {
 		return ev, nil
 	}
 
-	var baseVecs *sim.Vectors
-	if s.inc {
-		baseVecs = s.evalArena.Vectors()
-	}
-	bestCand := rankCandidates(ctx, s.ev, s.cur, s.evalPats, baseVecs, cands, s.workers)
+	bestCand := rankCandidates(ctx, s.ev, s.cur, s.evalArena.Vectors(), cands, s.workers)
 	if err := ctx.Err(); err != nil {
 		// Ranking was cut short; nothing has been committed. (The care
 		// reroll and generator cache refresh above are idempotent: a later
@@ -298,7 +276,7 @@ func (s *Session) Step(ctx context.Context) (Event, error) {
 	if bestCand.Err > s.opts.Threshold {
 		rec.Err, rec.Ands = s.curErr, s.cur.NumAnds()
 		s.record(rec)
-		if s.inc && !careFresh {
+		if !careFresh {
 			// Every candidate from the persisted care set is over budget.
 			// The paper's flow draws fresh patterns each iteration, so the
 			// threshold verdict is only final on a fresh draw: reroll next
@@ -314,22 +292,33 @@ func (s *Session) Step(ctx context.Context) (Event, error) {
 		return ev, nil
 	}
 
-	// Certified mode: prove the exact maximum error of the candidate
-	// circuit before anything is committed. The candidate is applied to a
-	// throwaway id-identical clone, so the working graph (and with it the
-	// incremental arenas) is untouched on rejection. A certification error
-	// (e.g. an exhausted SAT conflict budget) rejects too: the flow never
-	// commits a change it could not prove.
+	// Pre-commit checks: the delay constraint, then (certified mode) the
+	// exact maximum error of the candidate circuit, both before anything is
+	// committed. The candidate is applied to a throwaway id-identical
+	// clone, so the working graph (and with it the incremental arenas) is
+	// untouched on rejection. Either rejection forces a fresh care draw:
+	// the same care patterns would re-elect the same winner.
 	var cert exact.Certificate
+	var candG *aig.Graph
+	if s.depthCap > 0 || s.cert != nil {
+		candG = bestCand.Apply(s.cur.Clone())
+	}
+	if s.depthCap > 0 && candG.Depth() > s.depthCap {
+		s.stall++
+		s.careOK = false
+		rec.Err, rec.Ands = s.curErr, s.cur.NumAnds()
+		s.record(rec)
+		return Event{Kind: EventDepthReject, Iteration: iter, Rounds: s.n,
+			Candidates: len(cands), Err: s.curErr, Ands: s.cur.NumAnds()}, nil
+	}
+	// A certification error (e.g. an exhausted SAT conflict budget) rejects
+	// too: the flow never commits a change it could not prove.
 	if s.cert != nil {
-		candG := bestCand.Apply(s.cur.Clone())
 		var err error
 		cert, err = s.cert.Certify(candG, s.opts.MaxError)
 		if err != nil || !cert.OK {
 			s.certRejected++
 			s.stall++
-			// The same care patterns would re-elect the same winner: force a
-			// fresh draw so the next iteration can find a certifiable one.
 			s.careOK = false
 			rec.Rejected = true
 			rec.Err, rec.Ands = s.curErr, s.cur.NumAnds()
@@ -349,27 +338,7 @@ func (s *Session) Step(ctx context.Context) (Event, error) {
 
 	prevAnds := s.cur.NumAnds()
 	prevErr := s.curErr
-	flushed := false
-	if s.inc {
-		flushed = s.commitInPlace(bestCand)
-	} else {
-		cand := bestCand.Apply(s.cur)
-		if !s.opts.SkipOptimize {
-			cand = opt.Optimize(cand)
-		} else {
-			cand = cand.Sweep()
-		}
-		if s.depthCap > 0 && cand.Depth() > s.depthCap {
-			// Delay-constrained mode: drop this change and try again with
-			// fresh patterns next iteration.
-			s.stall++
-			rec.Err, rec.Ands = s.curErr, s.cur.NumAnds()
-			s.record(rec)
-			return Event{Kind: EventDepthReject, Iteration: iter, Rounds: s.n,
-				Candidates: len(cands), Err: s.curErr, Ands: s.cur.NumAnds()}, nil
-		}
-		s.cur = cand
-	}
+	flushed := s.commitInPlace(bestCand)
 	s.curErr = bestCand.Err
 	s.applied++
 	switch {
@@ -382,20 +351,15 @@ func (s *Session) Step(ctx context.Context) (Event, error) {
 	default:
 		s.stall++
 	}
-	if s.inc && (flushed || s.cur.NumAnds() >= prevAnds) {
+	if flushed || s.cur.NumAnds() >= prevAnds {
 		// Care persists exactly as long as the incremental caches do. An
 		// optimizer flush renumbers every node and drops the generator cache,
 		// so nothing the persisted patterns fed survives it — and the flow
-		// measurably benefits from the legacy flow's fresh-patterns diversity
+		// measurably benefits from the paper's fresh patterns per iteration
 		// on precisely those commits (budget trades and zero-gain exchanges;
 		// a pair of inverse zero-gain changes can even toggle forever on a
 		// persisted set). Pure winning streaks keep their patterns.
 		s.careOK = false
-	}
-	if !s.inc && s.cur.NumAnds() < s.best.NumAnds() {
-		// Incremental best tracking happens at the optimize boundaries
-		// inside commitInPlace, where the snapshot is fully optimized.
-		s.best = s.cur
 	}
 	rec.Applied, rec.Err, rec.Ands = true, s.curErr, s.cur.NumAnds()
 	s.record(rec)
@@ -412,7 +376,7 @@ func (s *Session) Step(ctx context.Context) (Event, error) {
 	return ev, nil
 }
 
-// generateIncremental is the incremental produce path of Step. The care
+// generateIncremental is the produce phase of Step. The care
 // arena persists across pure-win commits — those keep it up to date by
 // dirty-TFO resimulation — and is rerolled with the step's seed after an
 // empty round, a rounds change, a non-shrinking commit, or any optimizer
@@ -426,7 +390,6 @@ func (s *Session) Step(ctx context.Context) (Event, error) {
 // the cache unchanged, and a full rescan after a dropped cache is bitwise
 // identical to the cached merge.
 func (s *Session) generateIncremental(iterSeed int64) (cands []Candidate, fresh bool) {
-	gen := s.opts.Generator.(IncrementalGenerator)
 	if s.evalArena == nil {
 		s.evalArena = sim.NewArena(s.cur, s.evalPats, s.workers)
 	}
@@ -443,7 +406,7 @@ func (s *Session) generateIncremental(iterSeed int64) (cands []Candidate, fresh 
 			s.careArena.Rebind(s.cur, care)
 		}
 	}
-	cands, cache := gen.GenerateIncremental(s.cur, s.careArena.Vectors(),
+	cands, cache := s.opts.Generator.GenerateIncremental(s.cur, s.careArena.Vectors(),
 		s.careArena.Patterns().Valid, s.workers, s.genStale, s.genCache)
 	s.genCache = cache
 	// The mask is consumed: until the next commit writes a fresh closure,
@@ -460,9 +423,9 @@ func (s *Session) generateIncremental(iterSeed int64) (cands []Candidate, fresh 
 // cadence: a commit stays on the pure incremental path only when it is an
 // outright win — the live AND count shrank and no error budget was spent.
 // Anything else (a zero-gain commit, or one that consumed budget) gets the
-// optimizer immediately, because those are exactly the commits where the
-// legacy flow's per-commit optimizer harvests reductions the LAC alone did
-// not; skipping it there measurably degrades the final area. A backstop
+// optimizer immediately, because those are exactly the commits where a
+// per-commit optimizer (Algorithm 3, line 9) harvests reductions the LAC
+// alone did not; skipping it there measurably degrades the final area. A backstop
 // flush every optEvery commits bounds drift during long winning streaks.
 // Each flush compacts the graph, resets the incremental state and gives
 // the best snapshot its chance to improve. The return reports whether a
@@ -492,8 +455,8 @@ func (s *Session) commitInPlace(c *Candidate) bool {
 		return true
 	}
 	if s.opts.SkipOptimize && s.cur.NumAnds() < s.best.NumAnds() {
-		// Ablation mode has no optimize boundaries; mirror the legacy
-		// best policy on the swept in-place counts.
+		// Ablation mode has no optimize boundaries: every smaller working
+		// graph becomes the best snapshot.
 		s.best = s.cur.Sweep()
 	}
 	return false
@@ -502,10 +465,16 @@ func (s *Session) commitInPlace(c *Candidate) bool {
 // flushOptimize runs the traditional optimizer on the working graph,
 // resets the incremental caches (the compacted graph has fresh node ids)
 // and updates the best snapshot when the optimized circuit is the smallest
-// seen. The working graph is always within the error threshold when this
-// runs, so every best snapshot respects the budget.
+// seen. Under a depth cap an optimized graph deeper than the cap is
+// dropped for the swept working graph, which every commit kept within the
+// cap. The working graph is always within the error threshold when this
+// runs, so every best snapshot respects the budget (and the cap).
 func (s *Session) flushOptimize() {
-	s.cur = opt.Optimize(s.cur)
+	next := opt.Optimize(s.cur)
+	if s.depthCap > 0 && next.Depth() > s.depthCap {
+		next = s.cur.Sweep()
+	}
+	s.cur = next
 	s.sinceOpt = 0
 	s.genStale, s.genCache = nil, nil
 	if s.cur.NumAnds() < s.best.NumAnds() {
@@ -544,7 +513,7 @@ func (s *Session) finish(reason string) Event {
 	// Commits since the last optimize boundary have not had their shot at
 	// the best snapshot yet: flush them through the optimizer, unless the
 	// working graph is over budget (ReasonBudget) and must not be recorded.
-	if s.inc && !s.opts.SkipOptimize && s.sinceOpt > 0 && s.curErr <= s.opts.Threshold {
+	if !s.opts.SkipOptimize && s.sinceOpt > 0 && s.curErr <= s.opts.Threshold {
 		s.flushOptimize()
 	}
 	s.done = true
@@ -600,10 +569,9 @@ func (s *Session) CertStats() exact.Stats {
 // Result finalizes the session outcome: the smallest circuit observed and
 // its measured error on the evaluation pattern set. It may be called on a
 // live session (e.g. after a deadline) for the best-so-far result; the
-// session can keep stepping afterwards. (On the incremental path "observed"
-// means at the optimize boundaries — the best snapshot is always a fully
-// optimized circuit; a live mid-batch call can lag the working graph by up
-// to optEvery commits.)
+// session can keep stepping afterwards. ("Observed" means at the optimize
+// boundaries — the best snapshot is always a fully optimized circuit; a
+// live mid-batch call can lag the working graph by up to optEvery commits.)
 func (s *Session) Result() Result {
 	if !s.finalOK || !s.done {
 		s.finalErr = s.ev.EvalGraph(s.best, s.evalPats)

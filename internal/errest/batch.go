@@ -46,21 +46,15 @@ type Batch struct {
 // estimation against the given evaluator (whose golden values come from the
 // original circuit).
 func NewBatch(ev *Evaluator, g *aig.Graph, p *sim.Patterns) *Batch {
-	return NewBatchWorkers(ev, g, p, 1)
-}
-
-// NewBatchWorkers is NewBatch with the base simulation sharded over the
-// given number of worker goroutines (0 = GOMAXPROCS).
-func NewBatchWorkers(ev *Evaluator, g *aig.Graph, p *sim.Patterns, workers int) *Batch {
-	return newBatch(ev, g, sim.SimulateWorkers(g, p, workers), false)
+	return newBatch(ev, g, sim.Simulate(g, p), false)
 }
 
 // NewBatchVecs prepares batch estimation on top of an existing simulation
 // of g — typically a persistent sim.Arena kept incrementally up to date
 // across flow iterations, which turns the full-circuit resimulation that
-// NewBatchWorkers performs on every ranking round into a no-op. The vectors
-// stay owned by the caller: Release leaves them untouched, and they must
-// outlive the batch and every fork.
+// NewBatch performs into a no-op. The vectors stay owned by the caller:
+// Release leaves them untouched, and they must outlive the batch and every
+// fork.
 func NewBatchVecs(ev *Evaluator, g *aig.Graph, vecs *sim.Vectors) *Batch {
 	return newBatch(ev, g, vecs, true)
 }

@@ -110,35 +110,31 @@ func (st *store) loadCircuit(id string) ([]byte, error) {
 
 const ckptPrefix = "checkpoint"
 
-// checkpointGens lists the job's checkpoint files newest-first: numbered
-// generations in descending sequence, then a legacy unnumbered "checkpoint"
-// file (written by older daemons) as the oldest.
-func (st *store) checkpointGens(id string) []string {
+// checkpointSeqs lists the sequence numbers of the job's checkpoint
+// generations, newest first.
+func (st *store) checkpointSeqs(id string) []int {
 	entries, err := st.fs.ReadDir(st.jobDir(id))
 	if err != nil {
 		return nil
 	}
 	var seqs []int
-	legacy := false
 	for _, e := range entries {
-		name := e.Name()
-		if name == ckptPrefix {
-			legacy = true
-			continue
-		}
-		if rest, ok := strings.CutPrefix(name, ckptPrefix+"."); ok {
+		if rest, ok := strings.CutPrefix(e.Name(), ckptPrefix+"."); ok {
 			if n, err := strconv.Atoi(rest); err == nil && n > 0 {
 				seqs = append(seqs, n)
 			}
 		}
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(seqs)))
+	return seqs
+}
+
+// checkpointGens lists the paths of the job's checkpoint generations,
+// newest first.
+func (st *store) checkpointGens(id string) []string {
 	var out []string
-	for _, n := range seqs {
+	for _, n := range st.checkpointSeqs(id) {
 		out = append(out, filepath.Join(st.jobDir(id), ckptGenName(n)))
-	}
-	if legacy {
-		out = append(out, filepath.Join(st.jobDir(id), ckptPrefix))
 	}
 	return out
 }
@@ -155,15 +151,9 @@ func (st *store) hasCheckpoint(id string) bool {
 // an extra old generation is harmless, a failed new one is not.
 func (st *store) saveCheckpoint(id string, snapshot func(w io.Writer) error) error {
 	dir := st.jobDir(id)
-	gens := st.checkpointGens(id)
 	next := 1
-	for _, g := range gens {
-		base := filepath.Base(g)
-		if rest, ok := strings.CutPrefix(base, ckptPrefix+"."); ok {
-			if n, err := strconv.Atoi(rest); err == nil && n >= next {
-				next = n + 1
-			}
-		}
+	if seqs := st.checkpointSeqs(id); len(seqs) > 0 {
+		next = seqs[0] + 1
 	}
 	target := filepath.Join(dir, ckptGenName(next))
 	err := st.retry.do(target, func() error {

@@ -179,15 +179,11 @@ func TestBackoffDelayDeterministicCappedJittered(t *testing.T) {
 
 // TestCheckpointGenerationsRotateAndPrune: successive checkpoints produce
 // ascending generations, only the newest keepCheckpoints survive, and the
-// listing is newest-first with a legacy unnumbered file sorted last.
+// listing is newest-first.
 func TestCheckpointGenerationsRotateAndPrune(t *testing.T) {
 	st := plainStore(t, faultfs.OS{})
 	const id = "j000001"
 	if err := st.fs.MkdirAll(st.jobDir(id), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	// A legacy pre-generation checkpoint from an older daemon.
-	if err := os.WriteFile(filepath.Join(st.jobDir(id), "checkpoint"), []byte("legacy"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 5; i++ {
@@ -216,10 +212,6 @@ func TestCheckpointGenerationsRotateAndPrune(t *testing.T) {
 	}
 	if !st.hasCheckpoint(id) {
 		t.Fatal("hasCheckpoint false with generations present")
-	}
-	// The legacy file was beyond the keep window and must have been pruned.
-	if _, err := os.Stat(filepath.Join(st.jobDir(id), "checkpoint")); err == nil {
-		t.Fatal("legacy checkpoint survived pruning past the keep window")
 	}
 }
 
