@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/errest"
 	"repro/internal/exact"
+	"repro/internal/resub"
 	"repro/internal/sim"
 )
 
@@ -29,7 +30,8 @@ import (
 //   - certified runs stay within MaxError by the exact checker;
 //   - 1 and 4 workers give identical results;
 //   - a run snapshotted and restored after every step gives the result of
-//     the uninterrupted run.
+//     the uninterrupted run;
+//   - windowed generation with unbounded windows gives the global result.
 func TestFlowModesMatchOracle(t *testing.T) {
 	type circuit struct {
 		g         *aig.Graph
@@ -53,8 +55,11 @@ func TestFlowModesMatchOracle(t *testing.T) {
 		{"sasimi", func(o *core.Options) { *o = sasimi.Configure(*o) }},
 		{"certified", func(o *core.Options) { o.Threshold *= 4; o.MaxError = 0.1 }},
 		{"const-zero", func(o *core.Options) { o.Generator = zeroGen{} }},
+		{"windowed-unbounded", func(o *core.Options) { windowed(o, -1, -1) }},
+		{"windowed-bounded", func(o *core.Options) { windowed(o, 4, 12) }},
 	}
 	for _, c := range circuits {
+		var global core.Result
 		for _, m := range modes {
 			t.Run(c.g.Name+"/"+m.name, func(t *testing.T) {
 				opts := core.DefaultOptions(c.metric, c.threshold)
@@ -68,6 +73,14 @@ func TestFlowModesMatchOracle(t *testing.T) {
 				}
 
 				want := runOracleFlow(t, c.g, opts, depthCap, false)
+				switch m.name {
+				case "global":
+					global = want
+				case "windowed-unbounded":
+					if global.Graph != nil { // nil when -run selected this mode alone
+						sameResult(t, "windowed-unbounded vs global", global, want)
+					}
+				}
 				par := opts
 				par.Workers = 4
 				sameResult(t, "workers=4", want, runOracleFlow(t, c.g, par, depthCap, false))
@@ -99,6 +112,25 @@ func TestFlowModesMatchOracle(t *testing.T) {
 			})
 		}
 	}
+}
+
+// windowed switches o to the windowed generator with the given window PI and
+// node limits (-1 = unbounded, which also lifts the divisor and fanout-skip
+// limits). The generator is set explicitly because the oracle circuits are
+// below the size at which a Windowed session falls back to global
+// generation.
+func windowed(o *core.Options, maxPIs, maxNodes int) {
+	o.Windowed = true
+	o.WindowMaxPIs, o.WindowMaxNodes = maxPIs, maxNodes
+	if maxPIs < 0 {
+		o.WindowMaxDivisors, o.WindowSkipFanoutRoots, o.WindowSkipFanoutDivisors = -1, -1, -1
+	}
+	o.Generator = core.WindowedGenerator{Win: o.WindowConfig(), Cfg: resub.Config{
+		MaxLACsPerNode:  o.MaxLACsPerNode,
+		MaxReplaceTries: o.MaxReplaceTries,
+		MaxDivisors:     o.MaxDivisors,
+		UseEspresso:     o.UseEspresso,
+	}}
 }
 
 // runOracleFlow drives a session to completion, checking the best snapshot

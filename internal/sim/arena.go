@@ -27,11 +27,9 @@ type Arena struct {
 
 	// Update scratch, reused across calls so steady-state updates allocate
 	// nothing once grown to the graph size.
-	heap    []int32
-	inHeap  []bool
+	queue   aig.IDQueue
 	foStart []int32
 	foList  []int32
-	foFill  []int32
 }
 
 // NewArena builds an arena bound to g and p and fully simulates it (with
@@ -61,11 +59,14 @@ func (a *Arena) Vectors() *Vectors { return a.vecs }
 // Patterns returns the pattern set the arena is bound to.
 func (a *Arena) Patterns() *Patterns { return a.p }
 
-// Release returns the arena's vectors to the shared pool. The arena must
-// not be used afterwards.
+// Release returns the arena's vectors and Update scratch to the shared
+// pools. The arena must not be used afterwards.
 func (a *Arena) Release() {
 	a.vecs.Release()
-	a.vecs = nil
+	a.queue.Release()
+	wordops.PutI32(a.foStart)
+	wordops.PutI32(a.foList)
+	a.vecs, a.foStart, a.foList = nil, nil, nil
 }
 
 // Update incrementally re-simulates after in-place mutations of the bound
@@ -86,33 +87,30 @@ func (a *Arena) Update() int {
 		a.epochs = append(a.epochs, 0)
 	}
 
-	// Seed the heap with every epoch-dirty live AND node. Recycled slots
+	// Seed the queue with every epoch-dirty live AND node. Recycled slots
 	// hold stale value words from their previous occupant; their fanouts are
 	// necessarily also epoch-dirty (an old node cannot reference a slot that
 	// was dead when it was built), so even a coincidental AndDiff match on
 	// garbage cannot mask a needed downstream update.
-	// inHeap is all-false between Updates (every push is matched by a pop
-	// that clears the flag), so growing without clearing is safe.
-	a.heap = a.heap[:0]
-	a.inHeap = growBools(a.inHeap, n)
+	a.queue.Reset(n)
 	dirty := false
 	for i := 0; i < n; i++ {
 		if a.epochs[i] != g.Epoch(aig.Node(i)) {
 			dirty = true
 			if g.IsAnd(aig.Node(i)) {
-				a.push(int32(i))
+				a.queue.Push(int32(i))
 			}
 		}
 	}
 	if !dirty {
 		return 0
 	}
-	a.buildFanouts()
+	a.foStart, a.foList = aig.BuildFanouts(g, n, a.foStart, a.foList)
 
 	evals := 0
 	vecs := a.vecs
-	for len(a.heap) > 0 {
-		m := a.popMin()
+	for a.queue.Len() > 0 {
+		m := a.queue.Pop()
 		node := aig.Node(m)
 		if !g.IsAnd(node) {
 			continue
@@ -124,7 +122,7 @@ func (a *Arena) Update() int {
 		evals++
 		if changed || a.epochs[m] != g.Epoch(node) {
 			for _, fo := range a.foList[a.foStart[m]:a.foStart[m+1]] {
-				a.push(fo)
+				a.queue.Push(fo)
 			}
 		}
 	}
@@ -144,82 +142,6 @@ func (a *Arena) syncEpochs() {
 	}
 }
 
-// buildFanouts computes the CSR fanout adjacency of the bound graph into
-// the arena's scratch.
-//
-//alsrac:hotpath
-func (a *Arena) buildFanouts() {
-	g := a.g
-	n := g.NumNodes()
-	a.foStart = growI32Clear(a.foStart, n+1)
-	for m := aig.Node(1); int(m) < n; m++ {
-		if !g.IsAnd(m) {
-			continue
-		}
-		a.foStart[g.Fanin0(m).Node()+1]++
-		a.foStart[g.Fanin1(m).Node()+1]++
-	}
-	for i := 1; i <= n; i++ {
-		a.foStart[i] += a.foStart[i-1]
-	}
-	a.foList = growI32(a.foList, int(a.foStart[n]))
-	a.foFill = growI32(a.foFill, n)
-	copy(a.foFill, a.foStart[:n])
-	for m := aig.Node(1); int(m) < n; m++ {
-		if !g.IsAnd(m) {
-			continue
-		}
-		for _, f := range [2]aig.Node{g.Fanin0(m).Node(), g.Fanin1(m).Node()} {
-			a.foList[a.foFill[f]] = int32(m)
-			a.foFill[f]++
-		}
-	}
-}
-
-// push adds node m to the min-heap unless already queued.
-//
-//alsrac:hotpath
-func (a *Arena) push(m int32) {
-	if a.inHeap[m] {
-		return
-	}
-	a.inHeap[m] = true
-	a.heap = append(a.heap, m)
-	for i := len(a.heap) - 1; i > 0; {
-		p := (i - 1) / 2
-		if a.heap[p] <= a.heap[i] {
-			break
-		}
-		a.heap[p], a.heap[i] = a.heap[i], a.heap[p]
-		i = p
-	}
-}
-
-//alsrac:hotpath
-func (a *Arena) popMin() int32 {
-	m := a.heap[0]
-	last := len(a.heap) - 1
-	a.heap[0] = a.heap[last]
-	a.heap = a.heap[:last]
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < last && a.heap[l] < a.heap[small] {
-			small = l
-		}
-		if r < last && a.heap[r] < a.heap[small] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		a.heap[i], a.heap[small] = a.heap[small], a.heap[i]
-		i = small
-	}
-	a.inHeap[m] = false
-	return m
-}
-
 // EnsureNodes grows the vector storage to hold at least `nodes` node
 // vectors, preserving existing contents. Newly covered slots hold arbitrary
 // words until written.
@@ -232,27 +154,4 @@ func (v *Vectors) EnsureNodes(nodes int) {
 	copy(nf, v.flat)
 	wordops.Put(v.flat)
 	v.flat = nf
-}
-
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		//alsrac:alloc-ok amortized capacity growth; the arena reuses storage so steady-state calls are allocation-free
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growI32Clear(s []int32, n int) []int32 {
-	s = growI32(s, n)
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
 }

@@ -333,13 +333,14 @@ func POWords(g *aig.Graph, v *Vectors) [][]uint64 {
 // primary-output words the circuit would produce.
 //
 // The fanout adjacency of the graph is computed once at construction, so
-// Resimulate walks an event queue over the actual transitive fanout of the
-// changed node instead of scanning every node above it.
+// Resimulate walks an ascending-id queue over the actual transitive fanout
+// of the changed node instead of scanning every node above it.
 type Resimulator struct {
 	g    *aig.Graph
 	base *Vectors
 
-	// AND-node fanouts of every node in CSR form, shared across Forks.
+	// AND-node fanouts of every node in CSR form (aig.BuildFanouts), shared
+	// across Forks.
 	foStart []int32
 	foList  []int32
 
@@ -347,11 +348,7 @@ type Resimulator struct {
 	overlay [][]uint64
 	touched []int32
 	pool    [][]uint64
-
-	// Event queue: a binary min-heap of node ids, so fanouts are processed
-	// in topological (increasing-id) order and each at most once.
-	heap   []int32
-	inHeap []bool
+	queue   aig.IDQueue
 
 	// isFork marks Resimulators that share foStart/foList with their root;
 	// only the root returns the adjacency to the pool on Release.
@@ -361,58 +358,28 @@ type Resimulator struct {
 // NewResimulator prepares incremental re-simulation over the given base
 // simulation of graph g.
 func NewResimulator(g *aig.Graph, base *Vectors) *Resimulator {
-	n := g.NumNodes()
-	start := wordops.GetI32(n + 1)
-	for i := range start {
-		start[i] = 0
-	}
-	for m := aig.Node(1); int(m) < n; m++ {
-		if !g.IsAnd(m) {
-			continue
-		}
-		start[g.Fanin0(m).Node()+1]++
-		start[g.Fanin1(m).Node()+1]++
-	}
-	for i := 1; i <= n; i++ {
-		start[i] += start[i-1]
-	}
-	list := wordops.GetI32(int(start[n]))
-	fill := wordops.GetI32(n)
-	copy(fill, start[:n])
-	for m := aig.Node(1); int(m) < n; m++ {
-		if !g.IsAnd(m) {
-			continue
-		}
-		for _, f := range [2]aig.Node{g.Fanin0(m).Node(), g.Fanin1(m).Node()} {
-			list[fill[f]] = int32(m)
-			fill[f]++
-		}
-	}
-	wordops.PutI32(fill)
-	return &Resimulator{
-		g: g, base: base, foStart: start, foList: list,
-		overlay: wordops.GetVecsZero(n),
-		touched: wordops.GetI32(n)[:0],
-		pool:    wordops.GetVecsZero(n)[:0],
-		heap:    wordops.GetI32(n)[:0],
-		inHeap:  wordops.GetBoolZero(n),
-	}
+	start, list := aig.BuildFanouts(g, g.NumNodes(), nil, nil)
+	return newResimulator(g, base, start, list, false)
 }
 
 // Fork returns a Resimulator that shares the graph, base vectors and fanout
 // adjacency with r but owns its own overlay state, so it can run on another
 // goroutine concurrently with r (the base vectors are only read).
 func (r *Resimulator) Fork() *Resimulator {
-	n := r.g.NumNodes()
-	return &Resimulator{
-		g: r.g, base: r.base, foStart: r.foStart, foList: r.foList,
+	return newResimulator(r.g, r.base, r.foStart, r.foList, true)
+}
+
+func newResimulator(g *aig.Graph, base *Vectors, start, list []int32, isFork bool) *Resimulator {
+	n := g.NumNodes()
+	r := &Resimulator{
+		g: g, base: base, foStart: start, foList: list,
 		overlay: wordops.GetVecsZero(n),
 		touched: wordops.GetI32(n)[:0],
 		pool:    wordops.GetVecsZero(n)[:0],
-		heap:    wordops.GetI32(n)[:0],
-		inHeap:  wordops.GetBoolZero(n),
-		isFork:  true,
+		isFork:  isFork,
 	}
+	r.queue.Reset(n)
+	return r
 }
 
 func (r *Resimulator) get(n aig.Node) []uint64 {
@@ -440,9 +407,11 @@ func (r *Resimulator) Resimulate(n aig.Node, newVec []uint64) func(aig.Node) []u
 	copy(ov, newVec)
 	r.overlay[n] = ov
 	r.touched = append(r.touched, int32(n))
-	r.pushFanouts(n)
-	for len(r.heap) > 0 {
-		m := aig.Node(r.popMin())
+	for _, fo := range r.foList[r.foStart[n]:r.foStart[n+1]] {
+		r.queue.Push(fo)
+	}
+	for r.queue.Len() > 0 {
+		m := aig.Node(r.queue.Pop())
 		out := r.alloc()
 		evalAnd(r.g, m, r.get, out)
 		// Skip nodes whose value did not actually change: this prunes the
@@ -453,55 +422,11 @@ func (r *Resimulator) Resimulate(n aig.Node, newVec []uint64) func(aig.Node) []u
 		}
 		r.overlay[m] = out
 		r.touched = append(r.touched, int32(m))
-		r.pushFanouts(m)
+		for _, fo := range r.foList[r.foStart[m]:r.foStart[m+1]] {
+			r.queue.Push(fo)
+		}
 	}
 	return r.get
-}
-
-// pushFanouts queues the AND fanouts of n for re-evaluation. A node is
-// queued at most once: all its potential enqueuers have smaller ids, and
-// the heap pops ids in increasing order, so once a node is popped no later
-// event can target it again.
-func (r *Resimulator) pushFanouts(n aig.Node) {
-	for _, m := range r.foList[r.foStart[n]:r.foStart[n+1]] {
-		if r.inHeap[m] {
-			continue
-		}
-		r.inHeap[m] = true
-		r.heap = append(r.heap, m)
-		for i := len(r.heap) - 1; i > 0; {
-			p := (i - 1) / 2
-			if r.heap[p] <= r.heap[i] {
-				break
-			}
-			r.heap[p], r.heap[i] = r.heap[i], r.heap[p]
-			i = p
-		}
-	}
-}
-
-func (r *Resimulator) popMin() int32 {
-	m := r.heap[0]
-	last := len(r.heap) - 1
-	r.heap[0] = r.heap[last]
-	r.heap = r.heap[:last]
-	for i := 0; ; {
-		l, rr := 2*i+1, 2*i+2
-		small := i
-		if l < last && r.heap[l] < r.heap[small] {
-			small = l
-		}
-		if rr < last && r.heap[rr] < r.heap[small] {
-			small = rr
-		}
-		if small == i {
-			break
-		}
-		r.heap[i], r.heap[small] = r.heap[small], r.heap[i]
-		i = small
-	}
-	r.inHeap[m] = false
-	return m
 }
 
 // POWordsInto evaluates the primary output words under the current overlay,
@@ -533,9 +458,8 @@ func (r *Resimulator) Release() {
 	wordops.PutVecs(r.pool)
 	wordops.PutVecs(r.overlay) // all-nil after reset
 	wordops.PutI32(r.touched)
-	wordops.PutI32(r.heap) // empty: every Resimulate drains the queue
-	wordops.PutBool(r.inHeap)
-	r.pool, r.overlay, r.touched, r.heap, r.inHeap = nil, nil, nil, nil, nil
+	r.queue.Release()
+	r.pool, r.overlay, r.touched = nil, nil, nil
 	if !r.isFork {
 		wordops.PutI32(r.foStart)
 		wordops.PutI32(r.foList)
